@@ -4,9 +4,11 @@ The §5 workflow decomposes into four phases: *simulate* (discrete-event
 campaign), *ingest* (degrade + load into the query layer), *match*
 (Algorithm 1 over a growing-window sweep), and *analyze* (the full
 batch of Table-1/2 and Fig-5..9 analyses per window).  Simulate and
-ingest are shared by both dataplanes; match and analyze each have a
-row reference path and a columnar fast path producing bit-identical
-results.
+ingest are shared; match and analyze are timed for the production
+dataplane (columnar kernels + ``MatchFrame`` analyses) and for the row
+oracle (per-query pre-selection, ``CandidateIndex`` join and the
+reference per-record analysis primitives, called directly), which
+must produce bit-identical results.
 
 Gates enforced here, beyond recording the timings:
 
@@ -26,34 +28,51 @@ from repro.exec import (
     ParallelExecutor,
     SerialExecutor,
     analyze_report,
+    default_matchers,
     growing_plans,
     run_analyses,
 )
 from repro.scenarios.eightday import EightDayConfig, EightDayStudy
+
+from tests.helpers import row_analyses, row_artifacts, row_report
 
 DAYS = 2.0
 N_PLANS = 4
 REPS = 3
 
 
+def _match_columnar(source, plans, known):
+    ex = SerialExecutor()
+    reports = ex.execute(source, plans, known_sites=known)
+    return reports, [ex.cache.get(plan) for plan in plans]
+
+
+def _match_row(source, plans, known):
+    artifacts = [row_artifacts(source, plan) for plan in plans]
+    return [row_report(art, default_matchers(known)) for art in artifacts], artifacts
+
+
+#: (match, analyze) per dataplane: production vs the row oracle.
+MODES = {
+    "row": (_match_row, row_analyses),
+    "columnar": (_match_columnar, analyze_report),
+}
+
+
 def _time_mode(source, plans, known, mode):
     """Best-of-REPS (match, analyze) seconds for one dataplane.
 
-    Each rep uses a fresh executor/cache so the window materialization
+    Each rep starts from a fresh cache so the window materialization
     (the mode's own lowering) is always inside the measured match phase.
     """
+    match, analyze = MODES[mode]
     best = None
     for _ in range(REPS):
-        ex = SerialExecutor(engine=mode)
         t0 = time.perf_counter()
-        reports = ex.execute(source, plans, known_sites=known)
+        reports, artifacts = match(source, plans, known)
         t_match = time.perf_counter() - t0
-        artifacts = [ex.cache.get(plan) for plan in plans]
         t0 = time.perf_counter()
-        batches = [
-            analyze_report(report, art, frame=mode)
-            for report, art in zip(reports, artifacts)
-        ]
+        batches = [analyze(report, art) for report, art in zip(reports, artifacts)]
         t_analyze = time.perf_counter() - t0
         if best is None or t_match + t_analyze < best[0] + best[1]:
             best = (t_match, t_analyze, reports, batches)
@@ -78,7 +97,7 @@ def phases():
     known = study.harness.known_site_names()
 
     modes = {}
-    for mode in ("row", "columnar"):
+    for mode in MODES:
         t_match, t_analyze, reports, batches = _time_mode(source, plans, known, mode)
         modes[mode] = {
             "match_s": t_match,

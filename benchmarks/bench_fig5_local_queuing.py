@@ -20,14 +20,12 @@ from repro.core.analysis.queuing import (
 )
 
 
-def test_fig5_local_queuing_breakdown(benchmark, eightday_report, frame):
+def test_fig5_local_queuing_breakdown(benchmark, eightday_report):
     result = eightday_report["exact"]
-    timings = timings_for_result(result, frame=frame)
+    timings = timings_for_result(result)
 
-    if frame == "columnar":
-        top = benchmark(timing_table(result).top_jobs, "local", 10.0, 40)
-    else:
-        top = benchmark(top_jobs_breakdown, timings, "local", 10.0, 40)
+    top = benchmark(timing_table(result).top_jobs, "local", 10.0, 40)
+    assert top == top_jobs_breakdown(timings, "local", 10.0, 40)  # row reference
 
     assert top, "expected local jobs with >=10% transfer-time share"
     assert all(t.transfer_pct >= 10.0 for t in top)

@@ -18,20 +18,17 @@ from conftest import write_comparison
 from repro.core.analysis.queuing import timing_table, timings_for_result, top_jobs_breakdown
 
 
-def test_fig6_remote_queuing_breakdown(benchmark, eightday_report, frame):
+def test_fig6_remote_queuing_breakdown(benchmark, eightday_report):
     # Remote population is thin under exact matching; RM2 is the
     # natural source for the remote figure (the paper's remote jobs
     # likewise surface through relaxed matching).
     result = eightday_report["rm2"]
-    timings = timings_for_result(result, frame=frame)
-
-    if frame == "columnar":
-        table = timing_table(result)
-        top_remote = benchmark(table.top_jobs, "remote", 10.0, 40)
-        top_local = table.top_jobs("local", 10.0, 40)
-    else:
-        top_remote = benchmark(top_jobs_breakdown, timings, "remote", 10.0, 40)
-        top_local = top_jobs_breakdown(timings, "local", 10.0, 40)
+    table = timing_table(result)
+    top_remote = benchmark(table.top_jobs, "remote", 10.0, 40)
+    top_local = table.top_jobs("local", 10.0, 40)
+    timings = timings_for_result(result)  # row reference for both lists
+    assert top_remote == top_jobs_breakdown(timings, "remote", 10.0, 40)
+    assert top_local == top_jobs_breakdown(timings, "local", 10.0, 40)
 
     assert top_remote, "expected remote jobs with >=10% transfer share"
 

@@ -16,8 +16,8 @@ from conftest import write_comparison
 from repro.core.analysis.thresholds import StatusCombo, threshold_sweep_result
 
 
-def test_fig9_threshold_sweep(benchmark, eightday_report, frame):
-    sweep = benchmark(threshold_sweep_result, eightday_report["exact"], frame=frame)
+def test_fig9_threshold_sweep(benchmark, eightday_report):
+    sweep = benchmark(threshold_sweep_result, eightday_report["exact"])
     assert sweep.n_jobs
 
     success = sweep.success_fraction()

@@ -13,16 +13,13 @@ import time
 
 from conftest import write_comparison
 
+from repro.columnar import ColumnarIndex
 from repro.core.matching.base import CandidateIndex
 from repro.core.matching.exact import ExactMatcher
 from repro.core.matching.pipeline import MatchingPipeline
-from repro.exec import (
-    WindowArtifacts,
-    WindowPlan,
-    build_report,
-    default_matchers,
-    growing_plans,
-)
+from repro.exec import WindowArtifacts, WindowPlan, default_matchers, growing_plans
+
+from tests.helpers import row_artifacts, row_report
 
 
 def test_candidate_index_build_throughput(benchmark, eightday):
@@ -81,10 +78,11 @@ def test_sweep_executor_vs_rebuild(eightday, executor, workers, results_dir):
     pre-selection and rebuilt the candidate join.  New: each window is
     materialized once into cached artifacts shared by all methods, and
     the sweep fans across ``--workers`` processes.  Results must be
-    identical; wall-clock must improve.  Pinned to the row engine —
-    the build counter it asserts on belongs to ``CandidateIndex``, and
-    the caching win must hold without the columnar kernels' help (see
-    ``test_engine_comparison`` for the row-vs-columnar gate).
+    identical; wall-clock must improve.  The naive side is the row
+    oracle (per-query pre-selection + ``CandidateIndex`` join, rebuilt
+    per run); the executor side is the production columnar sweep, whose
+    ``ColumnarIndex`` builds are counted (see ``test_engine_comparison``
+    for the join-for-join row-vs-columnar gate).
     """
     source = eightday.source
     known = eightday.harness.known_site_names()
@@ -98,18 +96,18 @@ def test_sweep_executor_vs_rebuild(eightday, executor, workers, results_dir):
     for plan in plans:  # the pre-refactor shape: rebuild per (window, method)
         results = {}
         for matcher in matchers:
-            artifacts = WindowArtifacts.materialize(source, plan, engine="row")
-            results[matcher.name] = build_report(artifacts, [matcher])[matcher.name]
+            artifacts = row_artifacts(source, plan)
+            results[matcher.name] = row_report(artifacts, [matcher])[matcher.name]
         naive.append(results)
     t_naive = time.perf_counter() - start
     naive_builds = CandidateIndex.build_count - builds_before
 
-    pipeline = MatchingPipeline(source, known_sites=known, engine="row")
-    builds_before = CandidateIndex.build_count
+    pipeline = MatchingPipeline(source, known_sites=known)
+    builds_before = ColumnarIndex.build_count
     start = time.perf_counter()
     swept = pipeline.sweep(plans, matchers=matchers, executor=executor)
     t_exec = time.perf_counter() - start
-    cached_builds = CandidateIndex.build_count - builds_before
+    cached_builds = ColumnarIndex.build_count - builds_before
 
     for old, new in zip(naive, swept):
         for m in matchers:
@@ -152,13 +150,15 @@ def test_sweep_executor_vs_rebuild(eightday, executor, workers, results_dir):
 
 
 def test_engine_comparison(eightday, results_dir):
-    """Row vs columnar over the largest seeded window — the CI gate.
+    """Row oracle vs columnar over the largest seeded window — the CI gate.
 
-    Both engines materialize the full 8-day window from scratch and run
-    the Exact/RM1/RM2 ladder; ``matched_pairs()`` must be identical per
-    method, and the columnar kernels must not be slower than the row
-    join (locally they are >2x faster; the gate only demands parity-or-
-    better so shared CI runners can't flake it).
+    Both sides materialize the full 8-day window from scratch and run
+    the Exact/RM1/RM2 ladder — the row oracle over its per-query
+    pre-selection and dict join, production through
+    ``artifacts.columnar.run``; ``matched_pairs()`` must be identical
+    per method, and the columnar kernels must not be slower than the
+    row join (locally they are >2x faster; the gate only demands
+    parity-or-better so shared CI runners can't flake it).
     """
     source = eightday.source
     known = eightday.harness.known_site_names()
@@ -167,20 +167,27 @@ def test_engine_comparison(eightday, results_dir):
     matchers = default_matchers(known)
     source.column_packs()  # ingest-time lowering, amortized across windows
 
-    def best_of(engine, repeats=3):
+    def oracle():
+        return row_report(row_artifacts(source, plan), matchers)
+
+    def columnar():
+        artifacts = WindowArtifacts.materialize(source, plan)
+        n = artifacts.n_transfers_with_taskid
+        return {m.name: artifacts.columnar.run(m, n_transfers_considered=n) for m in matchers}
+
+    def best_of(run, repeats=3):
         best, report = float("inf"), None
         for _ in range(repeats):
             start = time.perf_counter()
-            artifacts = WindowArtifacts.materialize(source, plan, engine=engine)
-            report = build_report(artifacts, matchers, engine=engine)
+            report = run()
             best = min(best, time.perf_counter() - start)
         return best, report
 
-    t_row, row_report = best_of("row")
-    t_col, col_report = best_of("columnar")
+    t_row, row = best_of(oracle)
+    t_col, col = best_of(columnar)
 
-    for m in row_report.methods:
-        assert col_report[m].matched_pairs() == row_report[m].matched_pairs()
+    for m in row.methods:
+        assert col[m].matched_pairs() == row[m].matched_pairs()
 
     speedup = t_row / t_col if t_col > 0 else float("inf")
     assert speedup >= 1.0, (
@@ -192,8 +199,8 @@ def test_engine_comparison(eightday, results_dir):
         paper={"note": "paper reports no timings; §5.5 demands scalability"},
         measured={
             "window_days": round((t1 - t0) / 86400.0, 2),
-            "jobs": row_report.n_jobs,
-            "transfers": row_report.n_transfers,
+            "jobs": row.n_jobs,
+            "transfers": row.n_transfers,
             "row_ms": round(t_row * 1e3, 2),
             "columnar_ms": round(t_col * 1e3, 2),
             "speedup": round(speedup, 2),

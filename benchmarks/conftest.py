@@ -28,17 +28,6 @@ def pytest_addoption(parser) -> None:
         "--workers", type=int, default=1, metavar="N",
         help="processes for executor-driven benchmarks (1 = serial; "
              "matching output is identical either way)")
-    from repro.exec import DEFAULT_ENGINE, DEFAULT_FRAME, ENGINES, FRAMES
-
-    parser.addoption(
-        "--engine", choices=ENGINES, default=DEFAULT_ENGINE,
-        help="matching join engine for executor-driven benchmarks "
-             "(output is identical either way; default %(default)s)")
-    parser.addoption(
-        "--frame", choices=FRAMES, default=DEFAULT_FRAME,
-        help="analysis dataplane: MatchFrame kernels or the reference "
-             "per-record loops (output is identical either way; "
-             "default %(default)s)")
 
 
 @pytest.fixture(scope="session")
@@ -47,28 +36,18 @@ def workers(request) -> int:
 
 
 @pytest.fixture(scope="session")
-def engine(request) -> str:
-    return request.config.getoption("--engine")
-
-
-@pytest.fixture(scope="session")
-def frame(request) -> str:
-    return request.config.getoption("--frame")
-
-
-@pytest.fixture(scope="session")
-def executor(workers, engine) -> Executor:
-    """The scheduling policy selected by ``--workers`` / ``--engine``."""
-    ex = make_executor(workers, engine=engine)
+def executor(workers) -> Executor:
+    """The scheduling policy selected by ``--workers``."""
+    ex = make_executor(workers)
     yield ex
     ex.close()  # the parallel pool persists across benchmarks until here
 
 
 @pytest.fixture(scope="session")
-def eightday(engine, frame) -> EightDayStudy:
+def eightday() -> EightDayStudy:
     """The §5 campaign at laptop scale (8 simulated days)."""
     cfg = EightDayConfig(seed=2025, days=8.0)
-    return EightDayStudy(cfg, engine=engine, frame=frame).run()
+    return EightDayStudy(cfg).run()
 
 
 @pytest.fixture(scope="session")

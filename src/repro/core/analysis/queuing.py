@@ -6,14 +6,14 @@ actively transferring" — i.e. the length of the union of the matched
 transfers' intervals clipped to [creation, start-of-execution].
 
 Two implementations share this module.  The row path
-(:func:`compute_timing` over ``JobMatch`` objects) is the reference;
-the columnar path lowers the result's :class:`MatchFrame` into a
-:class:`TimingTable` — every per-job breakdown as parallel arrays, with
-the interval unions computed by one sorted-boundary sweep over the CSR
-ragged mapping (:func:`repro.columnar.kernels.interval_union_lengths`).
-Both produce bit-identical numbers; ``tests/test_analysis_frame.py``
-property-tests the equality.  :func:`timings_for_result` dispatches on
-the ``frame`` name (default :data:`repro.columnar.DEFAULT_FRAME`).
+(:func:`compute_timing` over ``JobMatch`` objects) is the reference,
+kept as the test oracle; production lowers the result's
+:class:`MatchFrame` into a :class:`TimingTable` — every per-job
+breakdown as parallel arrays, with the interval unions computed by one
+sorted-boundary sweep over the CSR ragged mapping
+(:func:`repro.columnar.kernels.interval_union_lengths`).  Both produce
+bit-identical numbers; ``tests/test_analysis_frame.py`` property-tests
+the equality.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import List, Literal, Optional, Sequence
 
 import numpy as np
 
-from repro.columnar import DEFAULT_FRAME, validate_frame
 from repro.columnar.frame import CLASS_ORDER, MatchFrame
 from repro.columnar.kernels import interval_union_lengths
 from repro.core.matching.base import JobMatch, MatchResult, TransferClass
@@ -198,24 +197,11 @@ def timing_table(result: MatchResult) -> TimingTable:
     return frame._timing
 
 
-def timings_for_result(
-    result: MatchResult, frame: Optional[str] = None
-) -> List[JobTransferTiming]:
-    """Fig 5/6 rows for one result, via the chosen analysis dataplane.
-
-    ``frame`` is ``"row"`` (reference loop over ``JobMatch`` objects)
-    or ``"columnar"`` (lower once to the :class:`TimingTable`, then
-    materialize); ``None`` picks :data:`repro.columnar.DEFAULT_FRAME`.
-    """
-    choice = validate_frame(frame) if frame is not None else DEFAULT_FRAME
-    if choice == "columnar":
-        return timing_table(result).rows()
-    out = []
-    for m in result.matched_jobs():
-        t = compute_timing(m)
-        if t is not None:
-            out.append(t)
-    return out
+def timings_for_result(result: MatchResult) -> List[JobTransferTiming]:
+    """Fig 5/6 rows for one result, materialized from its
+    :class:`TimingTable` (the reference is :func:`compute_timing` over
+    ``result.matched_jobs()``)."""
+    return timing_table(result).rows()
 
 
 def top_jobs_breakdown(

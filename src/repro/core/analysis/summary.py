@@ -1,14 +1,14 @@
 """Matching summaries: Table 1, Table 2, and the §5.1 headline numbers.
 
-Every function here has a row path (reference loops over records and
-``JobMatch`` objects) and a columnar path over the result's
+Every function here runs over the result's
 :class:`~repro.columnar.frame.MatchFrame` / the window's
-:class:`~repro.columnar.packs.WindowColumns` — integer counting either
-way, so the outputs are identical, not merely close.  The ``frame``
-keyword picks the dataplane (default
-:data:`repro.columnar.DEFAULT_FRAME`); Table 1 additionally takes the
+:class:`~repro.columnar.packs.WindowColumns`.  The row reference
+(``MatchResult.local_remote_split``/``jobs_by_class`` and
+:func:`~repro.core.analysis.queuing.compute_timing` over ``JobMatch``
+objects) stays as the test oracle — integer counting either way, so
+the outputs are identical, not merely close.  Table 1 takes the
 window's ``columns`` because its totals run over *all* transfers, not
-just matched ones.
+just matched ones; without them it runs its reference record loop.
 """
 
 from __future__ import annotations
@@ -18,23 +18,17 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.columnar import DEFAULT_FRAME, validate_frame
 from repro.columnar.packs import WindowColumns
 from repro.core.analysis.queuing import (
     geomean_transfer_pct,
     mean_transfer_pct,
     timing_table,
-    timings_for_result,
 )
 from repro.core.matching.base import MatchResult, TransferClass
 from repro.core.matching.pipeline import MatchingReport
 from repro.rucio.activities import TABLE1_ORDER, TransferActivity
 from repro.telemetry.records import TransferRecord
 from repro.units import ratio_pct
-
-
-def _resolve(frame: Optional[str]) -> str:
-    return validate_frame(frame) if frame is not None else DEFAULT_FRAME
 
 
 @dataclass(frozen=True)
@@ -163,30 +157,20 @@ class MethodJobRow:
         return self.all_local + self.all_remote + self.mixed
 
 
-def method_comparison_transfers(
-    report: MatchingReport, frame: Optional[str] = None
-) -> List[MethodTransferRow]:
+def method_comparison_transfers(report: MatchingReport) -> List[MethodTransferRow]:
     """Table 2a: matched transfer counts by method and locality."""
-    columnar = _resolve(frame) == "columnar"
     rows = []
     for method in report.methods:
-        result = report[method]
-        local, remote = (
-            result.frame().local_remote_split() if columnar else result.local_remote_split()
-        )
+        local, remote = report[method].frame().local_remote_split()
         rows.append(MethodTransferRow(method=method, local=local, remote=remote))
     return rows
 
 
-def method_comparison_jobs(
-    report: MatchingReport, frame: Optional[str] = None
-) -> List[MethodJobRow]:
+def method_comparison_jobs(report: MatchingReport) -> List[MethodJobRow]:
     """Table 2b: matched job counts by method and transfer class."""
-    columnar = _resolve(frame) == "columnar"
     rows = []
     for method in report.methods:
-        result = report[method]
-        by_class = result.frame().jobs_by_class() if columnar else result.jobs_by_class()
+        by_class = report[method].frame().jobs_by_class()
         rows.append(
             MethodJobRow(
                 method=method,
@@ -219,28 +203,18 @@ class HeadlineStats:
         return ratio_pct(self.n_matched_transfers, self.n_transfers_with_taskid)
 
 
-def headline_stats(
-    report: MatchingReport, method: str = "exact", frame: Optional[str] = None
-) -> HeadlineStats:
+def headline_stats(report: MatchingReport, method: str = "exact") -> HeadlineStats:
     result = report[method]
-    if _resolve(frame) == "columnar":
-        f = result.frame()
-        table = timing_table(result)
-        n_matched_jobs = len(f)
-        n_matched_transfers = f.n_matched_transfers
-        timings = table
-    else:
-        n_matched_jobs = result.n_matched_jobs
-        n_matched_transfers = result.n_matched_transfers
-        timings = timings_for_result(result, frame="row")
+    frame = result.frame()
+    table = timing_table(result)
     return HeadlineStats(
         n_jobs=report.n_jobs,
         n_transfers=report.n_transfers,
         n_transfers_with_taskid=report.n_transfers_with_taskid,
-        n_matched_jobs=n_matched_jobs,
-        n_matched_transfers=n_matched_transfers,
-        mean_transfer_pct=mean_transfer_pct(timings),
-        geomean_transfer_pct=geomean_transfer_pct(timings),
+        n_matched_jobs=len(frame),
+        n_matched_transfers=frame.n_matched_transfers,
+        mean_transfer_pct=mean_transfer_pct(table),
+        geomean_transfer_pct=geomean_transfer_pct(table),
     )
 
 
@@ -249,7 +223,6 @@ def headline_series(
     plans,
     method: str = "exact",
     executor=None,
-    frame: Optional[str] = None,
 ) -> List[HeadlineStats]:
     """§5.1 headline numbers over many windows, one executor sweep.
 
@@ -260,4 +233,4 @@ def headline_series(
     executor is parallel.
     """
     reports = pipeline.sweep(plans, executor=executor)
-    return [headline_stats(report, method=method, frame=frame) for report in reports]
+    return [headline_stats(report, method=method) for report in reports]

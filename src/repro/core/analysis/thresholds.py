@@ -11,16 +11,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.columnar import DEFAULT_FRAME, validate_frame
-from repro.core.analysis.queuing import (
-    JobTransferTiming,
-    timing_table,
-    timings_for_result,
-)
+from repro.core.analysis.queuing import JobTransferTiming, timing_table
 from repro.core.matching.base import MatchResult
 
 
@@ -119,18 +114,14 @@ def threshold_sweep(
 def threshold_sweep_result(
     result: MatchResult,
     thresholds: Sequence[float] = tuple(DEFAULT_THRESHOLDS),
-    frame: Optional[str] = None,
 ) -> ThresholdSweep:
-    """Fig 9 sweep straight from a match result, on either dataplane.
+    """Fig 9 sweep straight from a match result's timing table.
 
-    The columnar path runs the whole grid as one cumulative pass: sort
-    each status combo's percentage vector once, then every threshold
-    count is a ``searchsorted`` (``side="right"`` ≡ the reference's
-    ``p <= th`` tally) — no per-threshold rescan of the timings.
+    Runs the whole grid as one cumulative pass: sort each status
+    combo's percentage vector once, then every threshold count is a
+    ``searchsorted`` (``side="right"`` ≡ :func:`threshold_sweep`'s
+    ``p <= th`` tally, the reference) — no per-threshold rescan.
     """
-    choice = validate_frame(frame) if frame is not None else DEFAULT_FRAME
-    if choice == "row":
-        return threshold_sweep(timings_for_result(result, frame="row"), thresholds)
     table = timing_table(result)
     ths = sorted(float(t) for t in thresholds)
     tharr = np.asarray(ths, dtype=np.float64)

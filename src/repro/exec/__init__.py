@@ -20,21 +20,14 @@ A fourth stage rides on the executors:
 persistent pool, sharing each window's matching report inside the
 workers.
 
-Every stage accepts an ``engine`` choice (``"row"`` or ``"columnar"``,
-see :mod:`repro.columnar`); both engines read the same artifacts and
-produce bit-identical reports.  Analyses additionally accept a
-``frame`` choice — the analysis dataplane (row loops vs ``MatchFrame``
-kernels), equally bit-identical.
+Every stage runs the one production dataplane: the columnar join and
+kernels (:mod:`repro.columnar`) for matching, ``MatchFrame`` analyses
+downstream.  The row engine (``WindowArtifacts.index`` plus
+``BaseMatcher.run``) and the row analysis loops are the specification;
+they are not selectable here, and the parity suites call them directly
+as a test oracle.
 """
 
-from repro.columnar import (
-    DEFAULT_ENGINE,
-    DEFAULT_FRAME,
-    ENGINES,
-    FRAMES,
-    validate_engine,
-    validate_frame,
-)
 from repro.exec.artifacts import (
     ArtifactCache,
     WindowArtifacts,
@@ -77,11 +70,7 @@ __all__ = [
     "AnalysisSpec",
     "ArtifactCache",
     "DEFAULT_ANALYSES",
-    "DEFAULT_ENGINE",
-    "DEFAULT_FRAME",
-    "ENGINES",
     "Executor",
-    "FRAMES",
     "ParallelExecutor",
     "SerialExecutor",
     "WindowArtifacts",
@@ -94,6 +83,4 @@ __all__ = [
     "match_artifacts",
     "run_analyses",
     "sliding_plans",
-    "validate_engine",
-    "validate_frame",
 ]

@@ -9,28 +9,18 @@ task on the *persistent* pool, and workers memoize the window's report
 (:func:`~repro.exec.executor.worker_report`) so the Exact/RM1/RM2
 matching work is done once per worker, not once per analysis.
 
-Every spec resolves through the same row/columnar ``frame`` switch as
-the underlying analysis functions, so fan-out never changes numbers —
+Every spec resolves through the same analysis functions whether it
+runs in-process or in a worker, so fan-out never changes numbers —
 only where and when they are computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
-from repro.columnar import (
-    DEFAULT_ENGINE,
-    DEFAULT_FRAME,
-    validate_engine,
-    validate_frame,
-)
 from repro.core.analysis.matrix import build_transfer_matrix
-from repro.core.analysis.queuing import (
-    timing_table,
-    timings_for_result,
-    top_jobs_breakdown,
-)
+from repro.core.analysis.queuing import timing_table, timings_for_result
 from repro.core.analysis.sites import build_dashboards
 from repro.core.analysis.summary import (
     activity_breakdown,
@@ -90,73 +80,40 @@ DEFAULT_ANALYSES: Tuple[str, ...] = (
 ANALYSIS_NAMES: Tuple[str, ...] = DEFAULT_ANALYSES + ("timings", "matrix")
 
 
-def _columns_for(artifacts: WindowArtifacts, choice: str):
-    # The columnar fast paths need the window's pre-lowered packs; a
-    # row-engine materialization has none, and the analyses then take
-    # their reference loops (identical results, just slower).
-    return artifacts.columns if choice == "columnar" else None
-
-
-def _top_jobs(result, locality: str, choice: str, **kw):
-    if choice == "columnar":
-        return timing_table(result).top_jobs(locality, **kw)
-    return top_jobs_breakdown(timings_for_result(result, frame="row"), locality, **kw)
-
-
-def _dispatch(
-    spec: AnalysisSpec,
-    report,
-    artifacts: WindowArtifacts,
-    plan: WindowPlan,
-    choice: str,
-):
+def _dispatch(spec: AnalysisSpec, report, artifacts: WindowArtifacts, plan: WindowPlan):
     name, kw = spec.name, dict(spec.params)
     result = report[spec.method]
+    # The window's pre-lowered packs; a source without the
+    # ``materialize_window`` fast path yields none, and the record
+    # analyses then take their reference loops (identical results).
+    columns = artifacts.columns
     if name == "headline":
-        return headline_stats(report, method=spec.method, frame=choice)
+        return headline_stats(report, method=spec.method)
     if name == "timings":
-        return timings_for_result(result, frame=choice)
+        return timings_for_result(result)
     if name == "top_local":
-        return _top_jobs(result, "local", choice, **kw)
+        return timing_table(result).top_jobs("local", **kw)
     if name == "top_remote":
-        return _top_jobs(result, "remote", choice, **kw)
+        return timing_table(result).top_jobs("remote", **kw)
     if name == "thresholds":
-        return threshold_sweep_result(result, frame=choice, **kw)
+        return threshold_sweep_result(result, **kw)
     if name == "table1":
-        return activity_breakdown(
-            result, artifacts.transfers, columns=_columns_for(artifacts, choice)
-        )
+        return activity_breakdown(result, artifacts.transfers, columns=columns)
     if name == "table2_transfers":
-        return method_comparison_transfers(report, frame=choice)
+        return method_comparison_transfers(report)
     if name == "table2_jobs":
-        return method_comparison_jobs(report, frame=choice)
+        return method_comparison_jobs(report)
     if name == "matrix":
         site_names = kw.pop("site_names")
-        return build_transfer_matrix(
-            artifacts.transfers,
-            list(site_names),
-            columns=_columns_for(artifacts, choice),
-        )
+        return build_transfer_matrix(artifacts.transfers, list(site_names), columns=columns)
     if name == "sites":
-        return build_dashboards(
-            artifacts.jobs, artifacts.transfers, columns=_columns_for(artifacts, choice)
-        )
+        return build_dashboards(artifacts.jobs, artifacts.transfers, columns=columns)
     if name == "volume":
         return transfer_volume_profile(
-            artifacts.transfers,
-            plan.t0,
-            plan.t1,
-            columns=_columns_for(artifacts, choice),
-            **kw,
+            artifacts.transfers, plan.t0, plan.t1, columns=columns, **kw
         )
     if name == "submissions":
-        return submission_profile(
-            artifacts.jobs,
-            plan.t0,
-            plan.t1,
-            columns=_columns_for(artifacts, choice),
-            **kw,
-        )
+        return submission_profile(artifacts.jobs, plan.t0, plan.t1, columns=columns, **kw)
     raise ValueError(f"unknown analysis {name!r} (known: {', '.join(ANALYSIS_NAMES)})")
 
 
@@ -164,26 +121,24 @@ def analyze_report(
     report,
     artifacts: WindowArtifacts,
     specs: Sequence[Union[str, AnalysisSpec]] = DEFAULT_ANALYSES,
-    frame: Optional[str] = None,
 ) -> Dict[str, object]:
     """Run every spec against an already-built report (in-process).
 
     The pure analysis half of :func:`run_analyses` — benchmarks time it
     separately from matching, and the serial path delegates here.
     """
-    choice = validate_frame(frame) if frame is not None else DEFAULT_FRAME
     return {
-        spec.name: _dispatch(spec, report, artifacts, artifacts.plan, choice)
+        spec.name: _dispatch(spec, report, artifacts, artifacts.plan)
         for spec in (AnalysisSpec.of(s) for s in specs)
     }
 
 
 def _analysis_task(task):
     """Pool task: one spec against the worker's memoized report."""
-    plan, spec, matchers, engine, choice = task
-    report = worker_report(plan, list(matchers), engine)
+    plan, spec, matchers = task
+    report = worker_report(plan, list(matchers))
     artifacts = worker_cache().get(plan)
-    return _dispatch(spec, report, artifacts, plan, choice)
+    return _dispatch(spec, report, artifacts, plan)
 
 
 def run_analyses(
@@ -194,8 +149,6 @@ def run_analyses(
     matchers=None,
     known_sites=None,
     executor=None,
-    engine: Optional[str] = None,
-    frame: Optional[str] = None,
 ) -> Dict[str, object]:
     """Run every spec for one window; returns ``{spec name: result}``.
 
@@ -204,28 +157,20 @@ def run_analyses(
     through the workers' report memo, and interleaving this with
     ``execute`` sweeps over the same source re-uses the same pool — no
     re-initialization.  Otherwise the specs run in-process against one
-    report.  ``frame`` picks the analysis dataplane (row or columnar;
-    default :data:`repro.columnar.DEFAULT_FRAME`) — results are
-    bit-identical either way.
+    report.
     """
     resolved: List[AnalysisSpec] = [AnalysisSpec.of(s) for s in specs]
-    choice = validate_frame(frame) if frame is not None else DEFAULT_FRAME
     matchers = list(matchers) if matchers is not None else default_matchers(known_sites)
 
     if isinstance(executor, ParallelExecutor) and resolved:
-        eng = executor._engine(engine)
-        tasks = [(plan, spec, tuple(matchers), eng, choice) for spec in resolved]
-        results = executor.map_with_source(_analysis_task, tasks, source, engine=eng)
+        tasks = [(plan, spec, tuple(matchers)) for spec in resolved]
+        results = executor.map_with_source(_analysis_task, tasks, source)
         return {spec.name: res for spec, res in zip(resolved, results)}
 
-    if executor is not None:
-        eng = executor._engine(engine)
-    else:
-        eng = validate_engine(engine or DEFAULT_ENGINE)
     if isinstance(executor, SerialExecutor):
         cache = executor._cache_for(source)
     else:
-        cache = ArtifactCache(source, engine=eng)
+        cache = ArtifactCache(source)
     artifacts = cache.get(plan)
-    report = build_report(artifacts, matchers, engine=eng)
-    return analyze_report(report, artifacts, resolved, frame=choice)
+    report = build_report(artifacts, matchers)
+    return analyze_report(report, artifacts, resolved)

@@ -7,18 +7,16 @@ matcher — Exact, RM1, RM2, subset — only ever reads these artifacts, so
 one materialization serves all methods and every analysis that replays
 the same window.
 
-Two join engines share the artifacts:
-
-* ``row`` — the dict-based
-  :class:`~repro.core.matching.base.CandidateIndex` plus per-job Python
-  loops (the specification);
-* ``columnar`` — :class:`~repro.columnar.engine.ColumnarIndex`,
-  structure-of-arrays packs with interned strings and vectorized
-  kernels (the default; bit-identical output, property-tested).
-
-Both indexes are built lazily, so an artifacts object only ever pays
-for the engine(s) that actually run over it, and parity tests can run
-both against one pre-selection.
+Matching runs on :class:`~repro.columnar.engine.ColumnarIndex` —
+structure-of-arrays packs with interned strings and vectorized
+kernels.  The dict-based
+:class:`~repro.core.matching.base.CandidateIndex` plus per-job Python
+loops (the row engine) is the specification: it is no production
+option, but stays reachable as :attr:`WindowArtifacts.index` so the
+parity suites can run it as a test oracle over the same pre-selection,
+and it serves matchers whose predicates the kernels cannot lower.
+Both indexes are built lazily, so an artifacts object only pays for
+the one that actually runs over it.
 
 :class:`ArtifactCache` memoizes materializations keyed by
 ``(t0, t1, user_jobs_only, source generation)``.  The generation term
@@ -34,13 +32,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.columnar import (
-    DEFAULT_ENGINE,
-    ColumnarIndex,
-    StringInterner,
-    supports_columnar,
-    validate_engine,
-)
+from repro.columnar import ColumnarIndex, StringInterner, supports_columnar
 from repro.columnar.packs import WindowColumns
 from repro.core.matching.base import (
     BaseMatcher,
@@ -74,7 +66,6 @@ class WindowArtifacts:
         jobs: List[JobRecord],
         files: List[FileRecord],
         transfers: List[TransferRecord],
-        engine: Optional[str] = None,
         interner: Optional[StringInterner] = None,
         columns: Optional[WindowColumns] = None,
     ) -> None:
@@ -83,7 +74,6 @@ class WindowArtifacts:
         self.jobs = jobs
         self.files = files
         self.transfers = transfers
-        self.engine = validate_engine(engine or DEFAULT_ENGINE)
         self.interner = interner
         self.columns = columns
         self._index: Optional[CandidateIndex] = None
@@ -97,7 +87,8 @@ class WindowArtifacts:
 
     @property
     def index(self) -> CandidateIndex:
-        """The row engine's dict join (built on first use)."""
+        """The row engine's dict join — the test oracle and the fallback
+        for matchers the kernels cannot lower (built on first use)."""
         if self._index is None:
             self._index = CandidateIndex(self.files, self.transfers)
         return self._index
@@ -120,22 +111,18 @@ class WindowArtifacts:
         return self.plan.window
 
     @classmethod
-    def materialize(
-        cls, source, plan: WindowPlan, engine: Optional[str] = None
-    ) -> "WindowArtifacts":
-        """Run the pre-selection queries; joins are built lazily per engine.
+    def materialize(cls, source, plan: WindowPlan) -> "WindowArtifacts":
+        """Run the pre-selection queries; joins are built lazily.
 
         Sources exposing ``materialize_window`` (the id-array fast path
         of :class:`~repro.metastore.opensearch.OpenSearchLike`) hand
         back pre-lowered column packs alongside the record lists; the
         columnar join then starts from pure NumPy gathers instead of
-        re-lowering the window's records.  The row engine skips that
-        path — it would pay the full-table lowering for nothing.
+        re-lowering the window's records.
         """
         generation = getattr(source, "generation", 0)
-        chosen = validate_engine(engine or DEFAULT_ENGINE)
         fast = getattr(source, "materialize_window", None)
-        if fast is not None and chosen == "columnar":
+        if fast is not None:
             jobs, files, transfers, columns = fast(plan.t0, plan.t1, plan.user_jobs_only)
             return cls(
                 plan,
@@ -143,7 +130,6 @@ class WindowArtifacts:
                 jobs,
                 files,
                 transfers,
-                engine=chosen,
                 interner=getattr(source, "interner", None),
                 columns=columns,
             )
@@ -159,24 +145,20 @@ class WindowArtifacts:
             jobs,
             files,
             transfers,
-            engine=engine,
             interner=getattr(source, "interner", None),
         )
 
 
-def match_artifacts(
-    matcher: BaseMatcher, artifacts: WindowArtifacts, engine: Optional[str] = None
-) -> MatchResult:
+def match_artifacts(matcher: BaseMatcher, artifacts: WindowArtifacts) -> MatchResult:
     """Run one matcher's pure per-job filter over shared artifacts.
 
-    ``engine`` overrides the artifacts' default.  A matcher whose
-    predicates the columnar kernels cannot lower (custom ``site_ok``
-    etc.) silently runs on the row engine — correctness always wins.
+    A matcher whose predicates the columnar kernels cannot lower
+    (custom ``site_ok`` etc.) silently runs on the row engine —
+    correctness always wins.
     """
-    chosen = validate_engine(engine or artifacts.engine)
     with get_obs().tracer.span("executor.task", cat="executor") as sp:
         sp.set("method", matcher.name)
-        if chosen == "columnar" and supports_columnar(matcher):
+        if supports_columnar(matcher):
             sp.set("engine", "columnar")
             return artifacts.columnar.run(
                 matcher, n_transfers_considered=artifacts.n_transfers_with_taskid
@@ -190,9 +172,7 @@ def match_artifacts(
 
 
 def build_report(
-    artifacts: WindowArtifacts,
-    matchers: Sequence[BaseMatcher],
-    engine: Optional[str] = None,
+    artifacts: WindowArtifacts, matchers: Sequence[BaseMatcher]
 ) -> MatchingReport:
     """All methods over one materialized window."""
     return MatchingReport(
@@ -200,7 +180,7 @@ def build_report(
         n_jobs=len(artifacts.jobs),
         n_transfers=len(artifacts.transfers),
         n_transfers_with_taskid=artifacts.n_transfers_with_taskid,
-        results={m.name: match_artifacts(m, artifacts, engine) for m in matchers},
+        results={m.name: match_artifacts(m, artifacts) for m in matchers},
     )
 
 
@@ -209,9 +189,7 @@ class ArtifactCache:
 
     A cache is bound to its source; ``get`` keys on the plan plus the
     source's current generation, evicting entries from older
-    generations eagerly (they can never hit again).  The cache's
-    ``engine`` becomes each materialized artifacts' default engine —
-    both joins stay lazily available either way.
+    generations eagerly (they can never hit again).
 
     The cache is thread-safe — the serving layer shares one instance
     across its whole worker pool.  One lock guards the LRU order, the
@@ -223,14 +201,11 @@ class ArtifactCache:
     duplicated work, never divergent state.
     """
 
-    def __init__(
-        self, source, max_entries: int = 32, engine: Optional[str] = None
-    ) -> None:
+    def __init__(self, source, max_entries: int = 32) -> None:
         if max_entries < 1:
             raise ValueError("max_entries must be >= 1")
         self.source = source
         self.max_entries = max_entries
-        self.engine = validate_engine(engine or DEFAULT_ENGINE)
         self._entries: "OrderedDict[tuple, WindowArtifacts]" = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
@@ -259,7 +234,7 @@ class ArtifactCache:
             self._evicted(obs, len(stale))
 
         with obs.tracer.span("artifact.materialize", cat="artifact") as sp:
-            artifacts = WindowArtifacts.materialize(self.source, plan, engine=self.engine)
+            artifacts = WindowArtifacts.materialize(self.source, plan)
             sp.set("t0", plan.t0)
             sp.set("t1", plan.t1)
             sp.set("n_jobs", len(artifacts.jobs))

@@ -17,16 +17,19 @@ per matcher.
 
 The pool itself is *persistent*: a :class:`ParallelExecutor` creates
 its ``ProcessPoolExecutor`` once and reuses it across every
-``execute()``/``map`` call, keyed on ``(source, generation, engine)``
-so worker state can never go stale — re-forking and re-pickling the
+``execute()``/``map`` call, keyed on ``(source, generation)`` so
+worker state can never go stale — re-forking and re-pickling the
 source per call was the dominant cost of sweep workloads.  The pool is
 released by the existing ``close()``/context-manager protocol (and
 defensively by ``__del__``); ``pool_inits`` counts initializations so
-benchmarks can assert sweeps run on one pool.
+benchmarks can assert sweeps run on one pool.  A pool broken by a dead
+worker is rebuilt by the next call (counted in ``pool_rebuilds``), so
+one crash never poisons the executor.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import os
 import threading
@@ -34,7 +37,6 @@ import weakref
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.columnar import DEFAULT_ENGINE, validate_engine
 from repro.columnar import shm
 from repro.core.matching.base import BaseMatcher, MatchingReport, MatchResult
 from repro.core.matching.exact import ExactMatcher
@@ -98,9 +100,6 @@ class Executor:
     #: degree of parallelism (1 for serial)
     workers: int = 1
 
-    #: join engine for matching tasks (None = DEFAULT_ENGINE)
-    engine: Optional[str] = None
-
     def map(self, fn: Callable, items: Iterable) -> List:
         raise NotImplementedError
 
@@ -110,13 +109,8 @@ class Executor:
         plans: Sequence[WindowPlan],
         matchers: Optional[Sequence[BaseMatcher]] = None,
         known_sites=None,
-        engine: Optional[str] = None,
     ) -> List[MatchingReport]:
         raise NotImplementedError
-
-    def _engine(self, engine: Optional[str]) -> str:
-        """Resolve a per-call engine override against the executor default."""
-        return validate_engine(engine or self.engine or DEFAULT_ENGINE)
 
     def close(self) -> None:
         """Release pooled resources (no-op for serial execution)."""
@@ -131,18 +125,15 @@ class Executor:
 class SerialExecutor(Executor):
     """In-process execution against one shared artifact cache."""
 
-    def __init__(
-        self, cache: Optional[ArtifactCache] = None, engine: Optional[str] = None
-    ) -> None:
+    def __init__(self, cache: Optional[ArtifactCache] = None) -> None:
         self.cache = cache
-        self.engine = validate_engine(engine) if engine is not None else None
 
     def map(self, fn: Callable, items: Iterable) -> List:
         return [fn(item) for item in items]
 
     def _cache_for(self, source) -> ArtifactCache:
         if self.cache is None or self.cache.source is not source:
-            self.cache = ArtifactCache(source, engine=self.engine)
+            self.cache = ArtifactCache(source)
         return self.cache
 
     def execute(
@@ -151,16 +142,14 @@ class SerialExecutor(Executor):
         plans: Sequence[WindowPlan],
         matchers: Optional[Sequence[BaseMatcher]] = None,
         known_sites=None,
-        engine: Optional[str] = None,
     ) -> List[MatchingReport]:
         matchers = list(matchers) if matchers is not None else default_matchers(known_sites)
-        eng = self._engine(engine)
         cache = self._cache_for(source)
         tracer = get_obs().tracer
         reports = []
         for plan in plans:
             with tracer.span("executor.window", cat="executor") as sp:
-                report = build_report(cache.get(plan), matchers, engine=eng)
+                report = build_report(cache.get(plan), matchers)
                 sp.set("t0", plan.t0)
                 sp.set("t1", plan.t1)
                 sp.set("n_jobs", report.n_jobs)
@@ -178,22 +167,56 @@ class SerialExecutor(Executor):
 
 _WORKER_CACHE: Optional[ArtifactCache] = None
 
-#: Per-worker memo of whole-window matching reports, keyed by
-#: ``(plan key, matcher names, engine)``.  Analysis fan-out tasks for
-#: one report share the matching work through this; it lives exactly as
-#: long as the worker process (= the pool), and the pool is keyed on
-#: the source generation, so entries can never go stale.
+#: Per-worker memo of whole-window matching reports, keyed by the plan
+#: key plus each matcher's :func:`matcher_key`.  Analysis fan-out tasks
+#: for one report share the matching work through this; it lives
+#: exactly as long as the worker process (= the pool), and the pool is
+#: keyed on the source generation, so entries can never go stale.
 _WORKER_REPORTS: dict = {}
 
 
-def _worker_init(source, engine: Optional[str] = None) -> None:
+def _hashable(value):
+    if isinstance(value, (set, frozenset)):
+        return frozenset(_hashable(v) for v in value)
+    if isinstance(value, (list, tuple)):
+        return tuple(_hashable(v) for v in value)
+    if isinstance(value, dict):
+        return frozenset((k, _hashable(v)) for k, v in value.items())
+    return value
+
+
+def matcher_key(matcher: BaseMatcher) -> tuple:
+    """A matcher's configuration identity: its class plus the values of
+    its constructor parameters, read back from the same-named
+    attributes (every stock matcher stores them so).  Two RM3s with
+    different thresholds differ; mutable run counters
+    (``SubsetMatcher.fallbacks``) are not parameters and never enter
+    the key.  A matcher whose parameters cannot be read back is keyed
+    on its whole instance state instead — counters may then split
+    entries (a wasted recompute), but never merge two configurations.
+    """
+    cls = type(matcher)
+    params = [
+        p for p in inspect.signature(cls.__init__).parameters.values() if p.name != "self"
+    ]
+    if all(p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD) and hasattr(matcher, p.name)
+           for p in params):
+        items = [(p.name, getattr(matcher, p.name)) for p in params]
+    else:
+        items = sorted(vars(matcher).items())
+    return (cls.__module__, cls.__qualname__) + tuple(
+        (name, _hashable(value)) for name, value in items
+    )
+
+
+def _worker_init(source) -> None:
     global _WORKER_CACHE
     if isinstance(source, shm.ArchiveRef):
         # Zero-copy path: the initializer received a pack-archive
         # handle, not a pickled source — attach to the memory-mapped
         # columns instead of deserializing megabytes of records.
         source = shm.attach(source)
-    _WORKER_CACHE = ArtifactCache(source, engine=engine)
+    _WORKER_CACHE = ArtifactCache(source)
     _WORKER_REPORTS.clear()
 
 
@@ -203,16 +226,14 @@ def worker_cache() -> ArtifactCache:
     return _WORKER_CACHE
 
 
-def worker_report(
-    plan: WindowPlan, matchers: Sequence[BaseMatcher], engine: Optional[str]
-) -> MatchingReport:
+def worker_report(plan: WindowPlan, matchers: Sequence[BaseMatcher]) -> MatchingReport:
     """Memoized whole-window report inside one worker process."""
     cache = worker_cache()
     generation = getattr(cache.source, "generation", 0)
-    key = (plan.key(generation), tuple(m.name for m in matchers), engine)
+    key = (plan.key(generation), tuple(matcher_key(m) for m in matchers))
     report = _WORKER_REPORTS.get(key)
     if report is None:
-        report = build_report(cache.get(plan), matchers, engine=engine)
+        report = build_report(cache.get(plan), matchers)
         _WORKER_REPORTS[key] = report
     return report
 
@@ -274,19 +295,17 @@ class ParallelExecutor(Executor):
         self,
         workers: Optional[int] = None,
         mp_context=None,
-        engine: Optional[str] = None,
         shared_memory: Optional[bool] = None,
     ) -> None:
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers or os.cpu_count() or 1
         self._mp_context = mp_context
-        self.engine = validate_engine(engine) if engine is not None else None
         #: Worker seeding strategy.  ``None`` (auto) spools the source
-        #: to a zero-copy pack archive whenever the engine is columnar
-        #: and the source exposes column packs, falling back to the
-        #: pickled-source initializer otherwise; ``True`` forces the
-        #: attempt, ``False`` forces pickling.
+        #: to a zero-copy pack archive whenever the source exposes
+        #: column packs, falling back to the pickled-source initializer
+        #: otherwise; ``True`` forces the attempt, ``False`` forces
+        #: pickling.
         self.shared_memory = shared_memory
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_key: Optional[tuple] = None
@@ -300,23 +319,24 @@ class ParallelExecutor(Executor):
         #: Number of pool initializations over this executor's lifetime;
         #: a sweep over one source must leave this at 1.
         self.pool_inits = 0
+        #: How many of those initializations replaced a pool broken by a
+        #: dead worker.
+        self.pool_rebuilds = 0
         #: How the most recent source-keyed pool seeded its workers
         #: ("shm" or "pickle"); None before the first one.
         self.seed_mode: Optional[str] = None
 
     # -- persistent pool lifecycle -------------------------------------------
 
-    def _source_key(self, source, engine: str) -> tuple:
-        return ("source", source_token(source), getattr(source, "generation", 0), engine)
+    def _source_key(self, source) -> tuple:
+        return ("source", source_token(source), getattr(source, "generation", 0))
 
-    def _shm_wanted(self, source, engine: str) -> bool:
-        if self.shared_memory is False:
-            return False
-        if self.shared_memory:
-            return True
-        return engine == "columnar" and hasattr(source, "column_packs")
+    def _shm_wanted(self, source) -> bool:
+        if self.shared_memory is not None:
+            return bool(self.shared_memory)
+        return hasattr(source, "column_packs")
 
-    def _init_spec(self, source, engine: str, key: tuple) -> tuple:
+    def _init_spec(self, source, key: tuple) -> tuple:
         """Initializer args for a new pool: an archive ref or the source.
 
         Acquires a refcounted pack archive when shared memory is wanted
@@ -325,7 +345,7 @@ class ParallelExecutor(Executor):
         requirement).
         """
         obs = get_obs()
-        if self._shm_wanted(source, engine):
+        if self._shm_wanted(source):
             try:
                 archive = shm.acquire(source, key)
             except shm.ExportError:
@@ -334,9 +354,9 @@ class ParallelExecutor(Executor):
             else:
                 self._archive_key = key
                 self.seed_mode = "shm"
-                return (shm.ArchiveRef(str(archive.path)), engine)
+                return (shm.ArchiveRef(str(archive.path)),)
         self.seed_mode = "pickle"
-        return (source, engine)
+        return (source,)
 
     def _release_archive(self) -> None:
         if self._archive_key is not None:
@@ -347,12 +367,16 @@ class ParallelExecutor(Executor):
         """The persistent pool for ``key``, (re)created only on key change.
 
         ``key`` captures everything the workers' global state depends
-        on — the source identity token, its data generation, and the
-        engine — so reuse is safe exactly when the key matches.  A bare
-        pool (``key[0] == "bare"``) carries no worker state and any
-        live pool can serve it.  ``initargs_for`` is invoked only when
-        a pool is actually created, so archive exports happen once per
+        on — the source identity token and its data generation — so
+        reuse is safe exactly when the key matches.  A bare pool
+        (``key[0] == "bare"``) carries no worker state and any live
+        pool can serve it.  ``initargs_for`` is invoked only when a
+        pool is actually created, so archive exports happen once per
         key, not once per call.
+
+        A pool broken by a dead worker is never reused: it is replaced
+        here (re-acquiring the source's archive), so only the call that
+        hit the crash fails.
 
         Thread-safe: concurrent callers on one key share one pool (the
         creation race is resolved under the executor lock), and callers
@@ -361,10 +385,15 @@ class ParallelExecutor(Executor):
         obs = get_obs()
         with self._lock:
             if self._pool is not None:
-                if key == self._pool_key or key[0] == "bare":
+                broken = bool(getattr(self._pool, "_broken", False))
+                if not broken and (key == self._pool_key or key[0] == "bare"):
                     if obs.enabled:
                         obs.metrics.counter("executor.pool", event="reuse").inc()
                     return self._pool
+                if broken:
+                    self.pool_rebuilds += 1
+                    if obs.enabled:
+                        obs.metrics.counter("executor.pool", event="rebuild").inc()
                 self._pool.shutdown(wait=True)
                 self._pool = None
                 # The outgoing pool's workers held the old archive's maps;
@@ -407,6 +436,11 @@ class ParallelExecutor(Executor):
         except Exception:
             pass
 
+    def _source_pool(self, source) -> ProcessPoolExecutor:
+        """The pool whose workers were seeded with ``source``."""
+        key = self._source_key(source)
+        return self._pool_for(key, initargs_for=lambda: self._init_spec(source, key))
+
     def map(self, fn: Callable, items: Iterable) -> List:
         """Generic parallel map; ``fn`` and items must be picklable.
 
@@ -423,21 +457,17 @@ class ParallelExecutor(Executor):
             sp.set("workers", self.workers)
             return list(pool.map(fn, items))
 
-    def map_with_source(
-        self, fn: Callable, items: Iterable, source, engine: Optional[str] = None
-    ) -> List:
+    def map_with_source(self, fn: Callable, items: Iterable, source) -> List:
         """Parallel map whose tasks read the per-worker source state.
 
-        Ensures the pool's workers were initialized for ``source`` (and
-        ``engine``), exactly like :meth:`execute` — the entry point the
-        analysis fan-out (:mod:`repro.exec.analysis`) builds on.
+        Ensures the pool's workers were initialized for ``source``,
+        exactly like :meth:`execute` — the entry point the analysis
+        fan-out (:mod:`repro.exec.analysis`) builds on.
         """
         items = list(items)
         if not items:
             return []
-        eng = self._engine(engine)
-        key = self._source_key(source, eng)
-        pool = self._pool_for(key, initargs_for=lambda: self._init_spec(source, eng, key))
+        pool = self._source_pool(source)
         with get_obs().tracer.span("executor.map", cat="executor") as sp:
             sp.set("n_items", len(items))
             sp.set("workers", self.workers)
@@ -449,13 +479,11 @@ class ParallelExecutor(Executor):
         plans: Sequence[WindowPlan],
         matchers: Optional[Sequence[BaseMatcher]] = None,
         known_sites=None,
-        engine: Optional[str] = None,
     ) -> List[MatchingReport]:
         matchers = list(matchers) if matchers is not None else default_matchers(known_sites)
         plans = list(plans)
-        eng = self._engine(engine)
         if not plans or not matchers:
-            return SerialExecutor(engine=eng).execute(source, plans, matchers)
+            return SerialExecutor().execute(source, plans, matchers)
 
         tasks = [(plan, matcher) for plan in plans for matcher in matchers]
         if len(plans) >= self.workers:
@@ -466,8 +494,7 @@ class ParallelExecutor(Executor):
             # Few plans, many matchers: matcher-level parallelism wins
             # even though several workers materialize the same window.
             chunksize = 1
-        key = self._source_key(source, eng)
-        pool = self._pool_for(key, initargs_for=lambda: self._init_spec(source, eng, key))
+        pool = self._source_pool(source)
         with get_obs().tracer.span("executor.map", cat="executor") as sp:
             sp.set("n_tasks", len(tasks))
             sp.set("workers", self.workers)
@@ -493,12 +520,9 @@ class ParallelExecutor(Executor):
 
 
 def make_executor(
-    workers: Optional[int] = None,
-    engine: Optional[str] = None,
-    shared_memory: Optional[bool] = None,
+    workers: Optional[int] = None, shared_memory: Optional[bool] = None
 ) -> Executor:
-    """``--workers``/``--engine`` plumbing: 0/1/None → serial, N>1 → N
-    processes; ``engine`` picks the join implementation either way."""
+    """``--workers`` plumbing: 0/1/None → serial, N>1 → N processes."""
     if workers is None or workers <= 1:
-        return SerialExecutor(engine=engine)
-    return ParallelExecutor(workers=workers, engine=engine, shared_memory=shared_memory)
+        return SerialExecutor()
+    return ParallelExecutor(workers=workers, shared_memory=shared_memory)

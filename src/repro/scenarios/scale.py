@@ -54,7 +54,6 @@ def _current_rss_mb() -> float:
 def run_rung(
     config: ScaleConfig,
     workers: int = 1,
-    engine: str = "columnar",
     shared_memory: Optional[bool] = None,
     analyses: bool = True,
 ) -> dict:
@@ -66,22 +65,19 @@ def run_rung(
         gen_s = time.perf_counter() - t
 
         plan = WindowPlan(*ds.window)
-        executor = make_executor(workers=workers, engine=engine,
-                                 shared_memory=shared_memory)
+        executor = make_executor(workers=workers, shared_memory=shared_memory)
         t = time.perf_counter()
         with executor:
-            report = executor.execute(
-                ds.source, [plan], known_sites=ds.known_sites, engine=engine
-            )[0]
+            report = executor.execute(ds.source, [plan], known_sites=ds.known_sites)[0]
         match_s = time.perf_counter() - t
 
         analyze_s = 0.0
         headline = None
         if analyses:
             t = time.perf_counter()
-            stats = headline_stats(report, method="exact", frame=engine)
-            transfer_rows = method_comparison_transfers(report, frame=engine)
-            job_rows = method_comparison_jobs(report, frame=engine)
+            stats = headline_stats(report, method="exact")
+            transfer_rows = method_comparison_transfers(report)
+            job_rows = method_comparison_jobs(report)
             analyze_s = time.perf_counter() - t
             headline = {
                 "n_matched_jobs": stats.n_matched_jobs,
@@ -100,7 +96,6 @@ def run_rung(
             "shard_seconds": config.shard_seconds,
             "shards": ds.source.shard_counts(),
             "workers": workers,
-            "engine": engine,
             "seed_mode": getattr(executor, "seed_mode", "serial") or "serial",
             "generate_seconds": round(gen_s, 3),
             "match_seconds": round(match_s, 3),
@@ -133,7 +128,6 @@ def scale_ladder(
     days: float = 8.0,
     shard_seconds: float = 86400.0,
     workers: int = 1,
-    engine: str = "columnar",
     shared_memory: Optional[bool] = None,
     analyses: bool = True,
 ) -> dict:
@@ -147,7 +141,6 @@ def scale_ladder(
             run_rung(
                 config,
                 workers=workers,
-                engine=engine,
                 shared_memory=shared_memory,
                 analyses=analyses,
             )
@@ -164,7 +157,6 @@ def scale_ladder(
             "days": days,
             "shard_seconds": shard_seconds,
             "workers": workers,
-            "engine": engine,
         },
         "rungs": rows,
     }

@@ -5,7 +5,7 @@ keeps a running accumulator whose ``snapshot()`` is **bit-identical**
 to the corresponding batch analysis over the accumulated matches:
 
 * :class:`SummaryFold` — §5.1 headline numbers
-  (:func:`repro.core.analysis.summary.headline_stats`, row frame);
+  (:func:`repro.core.analysis.summary.headline_stats`);
 * :class:`QueuingFold` — Table 2's per-method tallies
   (``jobs_by_class`` / ``local_remote_split``);
 * :class:`ThresholdFold` — the Fig 9 cumulative sweep

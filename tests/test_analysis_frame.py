@@ -1,10 +1,11 @@
-"""Parity tests for the analysis dataplane (``--frame row|columnar``).
+"""Parity tests for the analysis dataplane.
 
 The contract mirrors the matching-engine one: for any window —
 including degraded ones — every vectorized analysis over the
 :class:`~repro.columnar.frame.MatchFrame` must return **bit-identical**
-output to the reference per-record loops, for every matching method,
-on results produced by either join engine.  Floats are compared with
+output to the reference per-record loops (the row oracle, called
+directly), for every matching method, on results produced by the
+columnar kernels and by the row engine.  Floats are compared with
 ``==``, never with tolerances.
 """
 
@@ -14,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.columnar import DEFAULT_FRAME, FRAMES, validate_frame
 from repro.core.analysis.matrix import build_transfer_matrix
 from repro.core.analysis.queuing import (
     correlation_size_vs_time,
@@ -32,26 +32,41 @@ from repro.core.analysis.summary import (
     method_comparison_transfers,
 )
 from repro.core.analysis.temporal import submission_profile, transfer_volume_profile
-from repro.core.analysis.thresholds import StatusCombo, threshold_sweep_result
+from repro.core.analysis.thresholds import (
+    StatusCombo,
+    threshold_sweep,
+    threshold_sweep_result,
+)
 from repro.exec import (
     ArtifactCache,
     ParallelExecutor,
     SerialExecutor,
     WindowPlan,
+    default_matchers,
     run_analyses,
 )
 from repro.telemetry.records import UNKNOWN_SITE
 
+from tests.helpers import (
+    row_analyses,
+    row_artifacts,
+    row_headline,
+    row_method_tables,
+    row_report,
+    row_timings,
+)
 from tests.test_columnar import KNOWN, _ingest, degraded_windows
 
 PLAN = WindowPlan(0.0, 10_000.0)
 
 
 def _reports(source):
-    """One report per join engine, over the same window."""
-    col = SerialExecutor(engine="columnar").execute(source, [PLAN], known_sites=KNOWN)[0]
-    row = SerialExecutor(engine="row").execute(source, [PLAN], known_sites=KNOWN)[0]
+    """The production report and the row oracle's, over the same window."""
+    col = SerialExecutor().execute(source, [PLAN], known_sites=KNOWN)[0]
+    row = row_report(row_artifacts(source, PLAN), default_matchers(KNOWN))
     return {"columnar": col, "row": row}
+
+
 
 
 def _decoded(frame, name):
@@ -77,16 +92,6 @@ def assert_frames_equal(a, b):
         "t_local",
     ):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
-
-
-class TestFrameSelection:
-    def test_validate_frame(self):
-        assert set(FRAMES) == {"row", "columnar"}
-        assert DEFAULT_FRAME in FRAMES
-        for f in FRAMES:
-            assert validate_frame(f) == f
-        with pytest.raises(ValueError):
-            validate_frame("arrow")
 
 
 class TestFrameBuilders:
@@ -128,8 +133,8 @@ class TestTimingParity:
         for report in _reports(_ingest(*window)).values():
             for method in report.methods:
                 result = report[method]
-                row = timings_for_result(result, frame="row")
-                col = timings_for_result(result, frame="columnar")
+                row = row_timings(result)
+                col = timings_for_result(result)
                 assert col == row  # frozen dataclasses: exact floats
 
     @given(degraded_windows())
@@ -137,7 +142,7 @@ class TestTimingParity:
     def test_aggregates_bit_identical(self, window):
         for report in _reports(_ingest(*window)).values():
             result = report["exact"]
-            row = timings_for_result(result, frame="row")
+            row = row_timings(result)
             table = timing_table(result)
             assert mean_transfer_pct(table) == mean_transfer_pct(row)
             assert geomean_transfer_pct(table) == geomean_transfer_pct(row)
@@ -149,7 +154,7 @@ class TestTimingParity:
         for report in _reports(_ingest(*window)).values():
             for method in report.methods:
                 result = report[method]
-                row = timings_for_result(result, frame="row")
+                row = row_timings(result)
                 table = timing_table(result)
                 for locality in ("local", "remote"):
                     assert table.top_jobs(locality, top=5) == top_jobs_breakdown(
@@ -164,8 +169,8 @@ class TestThresholdParity:
         for report in _reports(_ingest(*window)).values():
             for method in report.methods:
                 result = report[method]
-                row = threshold_sweep_result(result, frame="row")
-                col = threshold_sweep_result(result, frame="columnar")
+                row = threshold_sweep(row_timings(result))
+                col = threshold_sweep_result(result)
                 assert col.thresholds == row.thresholds
                 assert col.n_jobs == row.n_jobs
                 for combo in StatusCombo:
@@ -177,21 +182,16 @@ class TestSummaryParity:
     @settings(max_examples=25, deadline=None)
     def test_headline_and_method_tables(self, window):
         for report in _reports(_ingest(*window)).values():
-            assert headline_stats(report, frame="columnar") == headline_stats(
-                report, frame="row"
-            )
-            assert method_comparison_transfers(
-                report, frame="columnar"
-            ) == method_comparison_transfers(report, frame="row")
-            assert method_comparison_jobs(
-                report, frame="columnar"
-            ) == method_comparison_jobs(report, frame="row")
+            assert headline_stats(report) == row_headline(report)
+            transfers, jobs = row_method_tables(report)
+            assert method_comparison_transfers(report) == transfers
+            assert method_comparison_jobs(report) == jobs
 
     @given(degraded_windows())
     @settings(max_examples=25, deadline=None)
     def test_activity_breakdown_with_columns(self, window):
         source = _ingest(*window)
-        artifacts = ArtifactCache(source, engine="columnar").get(PLAN)
+        artifacts = ArtifactCache(source).get(PLAN)
         reports = _reports(source)
         for report in reports.values():
             result = report["exact"]
@@ -207,7 +207,7 @@ class TestWindowAnalysesParity:
     @settings(max_examples=25, deadline=None)
     def test_site_dashboards(self, window):
         jobs, files, transfers = window
-        artifacts = ArtifactCache(_ingest(*window), engine="columnar").get(PLAN)
+        artifacts = ArtifactCache(_ingest(*window)).get(PLAN)
         fast = build_dashboards(artifacts.jobs, artifacts.transfers, columns=artifacts.columns)
         ref = build_dashboards(artifacts.jobs, artifacts.transfers)
         assert list(fast) == list(ref)  # incl. insertion order
@@ -222,7 +222,7 @@ class TestWindowAnalysesParity:
     @given(degraded_windows())
     @settings(max_examples=25, deadline=None)
     def test_matrix_and_temporal(self, window):
-        artifacts = ArtifactCache(_ingest(*window), engine="columnar").get(PLAN)
+        artifacts = ArtifactCache(_ingest(*window)).get(PLAN)
         names = sorted({*KNOWN, UNKNOWN_SITE})
         fast = build_transfer_matrix(artifacts.transfers, names, columns=artifacts.columns)
         ref = build_transfer_matrix(artifacts.transfers, names)
@@ -237,7 +237,7 @@ class TestWindowAnalysesParity:
 
 
 class TestRunAnalyses:
-    """The fan-out entry point: same numbers serial, parallel, row."""
+    """The fan-out entry point: same numbers serial, parallel, row oracle."""
 
     def _assert_batches_equal(self, a, b):
         assert list(a) == list(b)
@@ -260,9 +260,8 @@ class TestRunAnalyses:
         plan = WindowPlan(t0, t1)
         known = small_study.harness.known_site_names()
         col = run_analyses(small_study.source, plan, known_sites=known)
-        row = run_analyses(
-            small_study.source, plan, known_sites=known, engine="row", frame="row"
-        )
+        artifacts = row_artifacts(small_study.source, plan)
+        row = row_analyses(row_report(artifacts, default_matchers(known)), artifacts)
         self._assert_batches_equal(col, row)
 
     def test_parallel_equals_serial_on_one_pool(self, small_study):

@@ -14,25 +14,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.columnar import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    ColumnarIndex,
-    StringInterner,
-    supports_columnar,
-    validate_engine,
-)
+from repro.columnar import ColumnarIndex, StringInterner, supports_columnar
 from repro.columnar.packs import WindowColumns
 from repro.core.matching.base import BaseMatcher, CandidateIndex
 from repro.core.matching.exact import ExactMatcher
 from repro.core.matching.rm1 import RM1Matcher
 from repro.core.matching.rm2 import RM2Matcher
 from repro.core.matching.subset import SubsetMatcher
-from repro.exec import ParallelExecutor, SerialExecutor, WindowPlan
+from repro.exec import ParallelExecutor, SerialExecutor, WindowPlan, default_matchers
 from repro.metastore.opensearch import OpenSearchLike
 from repro.telemetry.records import UNKNOWN_SITE
 
-from tests.helpers import make_file, make_job, make_transfer, matching_triple
+from tests.helpers import (
+    make_file,
+    make_job,
+    make_transfer,
+    matching_triple,
+    row_artifacts,
+    row_report,
+)
 
 
 KNOWN = {"SITE-A", "SITE-B"}
@@ -100,14 +100,6 @@ class TestPacks:
 
 
 class TestEngineSelection:
-    def test_validate_engine(self):
-        assert set(ENGINES) == {"row", "columnar"}
-        assert DEFAULT_ENGINE in ENGINES
-        for e in ENGINES:
-            assert validate_engine(e) == e
-        with pytest.raises(ValueError):
-            validate_engine("gpu")
-
     def test_stock_matchers_supported(self):
         for m in all_matchers():
             assert supports_columnar(m)
@@ -282,16 +274,15 @@ class TestMaterializeWindowFastPath:
         jobs, files, transfers = window
         source = _ingest(jobs, files, transfers)
         plan = WindowPlan(0.0, 10_000.0)
-        serial = SerialExecutor(engine="columnar").execute(
-            source, [plan], known_sites=KNOWN)[0]
-        row = SerialExecutor(engine="row").execute(
-            source, [plan], known_sites=KNOWN)[0]
+        serial = SerialExecutor().execute(source, [plan], known_sites=KNOWN)[0]
+        row = row_report(row_artifacts(source, plan), default_matchers(KNOWN))
+        assert serial.methods == row.methods
         for m in serial.methods:
             assert serial[m].matched_pairs() == row[m].matched_pairs()
 
 
 class TestExecutorParity:
-    """Both engines, both executors, one seeded degraded source."""
+    """Both executors against the row oracle, one seeded degraded source."""
 
     @given(degraded_windows())
     @settings(max_examples=5, deadline=None)
@@ -299,19 +290,16 @@ class TestExecutorParity:
         jobs, files, transfers = window
         source = _ingest(jobs, files, transfers)
         plans = [WindowPlan(0.0, 2500.0), WindowPlan(0.0, 10_000.0)]
-        baseline = None
-        for engine in ENGINES:
-            serial = SerialExecutor(engine=engine).execute(
-                source, plans, known_sites=KNOWN)
-            parallel = ParallelExecutor(workers=2, engine=engine).execute(
-                source, plans, known_sites=KNOWN)
-            pairs = [
-                {m: rep[m].matched_pairs() for m in rep.methods} for rep in serial
-            ]
-            assert pairs == [
-                {m: rep[m].matched_pairs() for m in rep.methods} for rep in parallel
-            ]
-            if baseline is None:
-                baseline = pairs
-            else:
-                assert pairs == baseline
+
+        def pairs(reports):
+            return [{m: rep[m].matched_pairs() for m in rep.methods} for rep in reports]
+
+        oracle = pairs(
+            row_report(row_artifacts(source, plan), default_matchers(KNOWN))
+            for plan in plans
+        )
+        serial = SerialExecutor().execute(source, plans, known_sites=KNOWN)
+        with ParallelExecutor(workers=2) as ex:
+            parallel = ex.execute(source, plans, known_sites=KNOWN)
+        assert pairs(serial) == oracle
+        assert pairs(parallel) == oracle

@@ -2,15 +2,22 @@
 
 Covers the hard requirements of the refactor: serial and parallel
 executors must produce bit-identical reports; the artifact cache must
-eliminate repeated pre-selections and ``CandidateIndex`` builds; and
-cache entries must die when the source's data generation changes.
+eliminate repeated pre-selections and join builds; cache entries must
+die when the source's data generation changes; and a parallel
+executor must survive a dead worker and never serve one matcher
+configuration's memoized report for another.
 """
+
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.columnar import ColumnarIndex
+from repro.columnar import ColumnarIndex, shm
 from repro.core.matching.base import CandidateIndex, JobMatch, MatchResult
 from repro.core.matching.pipeline import MatchingPipeline
+from repro.core.matching.rm2 import RM2Matcher
+from repro.core.matching.rm3 import RM3Matcher
 from repro.core.matching.subset import SubsetMatcher
 from repro.core.matching.windows import growing_window_curve, multi_method_sweep
 from repro.exec import (
@@ -23,9 +30,11 @@ from repro.exec import (
     make_executor,
     sliding_plans,
 )
+from repro.exec.analysis import AnalysisSpec, run_analyses
+from repro.exec.executor import matcher_key
 from repro.metastore.opensearch import OpenSearchLike
 
-from tests.helpers import make_file, make_job, make_transfer, matching_triple
+from tests.helpers import make_file, make_job, make_transfer, matching_triple, row_report
 
 
 def tiny_source() -> OpenSearchLike:
@@ -72,18 +81,27 @@ class TestArtifactCache:
         assert cache.get(plan) is first
         assert cache.stats == {"hits": 1, "misses": 1, "entries": 1, "evictions": 0}
 
-    @pytest.mark.parametrize("engine,counter", [
+    @pytest.mark.parametrize("path,counter", [
         ("row", CandidateIndex),
         ("columnar", ColumnarIndex),
     ])
-    def test_cache_eliminates_index_rebuilds(self, engine, counter):
-        """The build-counter requirement: N methods, one join build."""
-        source = tiny_source()
-        pipeline = MatchingPipeline(source, known_sites={"SITE-A"}, engine=engine)
+    def test_cache_eliminates_index_rebuilds(self, path, counter):
+        """The build-counter requirement: N methods, one join build — for
+        the production kernels and for the row oracle reading the same
+        cached artifacts."""
+        known = {"SITE-A"}
+        pipeline = MatchingPipeline(tiny_source(), known_sites=known)
         before = counter.build_count
-        pipeline.run(0.0, 10_000.0)  # exact + rm1 + rm2
-        pipeline.run(0.0, 10_000.0, matchers=[SubsetMatcher({"SITE-A"})])
-        growing_window_curve(pipeline, 0.0, 10_000.0, n_points=2)
+        if path == "columnar":
+            pipeline.run(0.0, 10_000.0)  # exact + rm1 + rm2
+            pipeline.run(0.0, 10_000.0, matchers=[SubsetMatcher(known)])
+            growing_window_curve(pipeline, 0.0, 10_000.0, n_points=2)
+        else:
+            full = pipeline.artifacts(0.0, 10_000.0)
+            row_report(full, default_matchers(known))
+            row_report(full, [SubsetMatcher(known)])
+            for plan in growing_plans(0.0, 10_000.0, n_points=2):
+                row_report(pipeline.cache.get(plan), default_matchers(known))
         # one build for [0, 10000) shared by all five matcher runs, plus
         # one for the curve's half window [0, 5000).
         assert counter.build_count - before == 2
@@ -276,6 +294,7 @@ class TestPersistentPool:
             assert ex.map(abs, [-1, 2, -3]) == [1, 2, 3]
             ex.execute(source, plans)
             assert ex.pool_inits == 1
+            assert ex.pool_rebuilds == 0
 
     def test_close_releases_pool(self):
         source = tiny_source()
@@ -300,14 +319,109 @@ class TestPersistentPool:
             assert ex.pool_inits == 2
             assert after.n_jobs >= before.n_jobs
 
-    def test_engine_change_reinitializes(self):
+
+
+def _die(_):
+    os._exit(1)
+
+
+def _double(x):
+    return 2 * x
+
+
+class TestBrokenPoolRecovery:
+    """A dead worker breaks one call, never the executor."""
+
+    def test_map_recovers_after_worker_death(self):
+        with ParallelExecutor(workers=2) as ex:
+            with pytest.raises(BrokenProcessPool):
+                ex.map(_die, [1, 2])
+            assert ex.map(_double, [1, 2, 3]) == [2, 4, 6]
+            assert ex.pool_rebuilds == 1
+            assert ex.pool_inits == 2
+
+    def test_execute_recovers_after_worker_death(self):
         source = tiny_source()
         plan = WindowPlan(0.0, 10_000.0)
+        expected = _report_fingerprint(SerialExecutor().execute(source, [plan])[0])
         with ParallelExecutor(workers=2) as ex:
-            col = ex.execute(source, [plan], engine="columnar")[0]
-            row = ex.execute(source, [plan], engine="row")[0]
+            assert _report_fingerprint(ex.execute(source, [plan])[0]) == expected
+            assert ex.seed_mode == "shm"
+            with pytest.raises(BrokenProcessPool):
+                ex.map_with_source(_die, [1, 2], source)
+            assert _report_fingerprint(ex.execute(source, [plan])[0]) == expected
+            assert ex.pool_rebuilds == 1
             assert ex.pool_inits == 2
-            assert _report_fingerprint(col) == _report_fingerprint(row)
+            # the rebuilt pool re-acquired a live archive for its key
+            (archive,) = shm.active_archives().values()
+            assert archive.exists()
+        assert not shm.active_archives()
+
+
+class TestWorkerReportMemo:
+    """The per-worker report memo keys on matcher configuration, not names."""
+
+    def test_matcher_key_tracks_parameters_not_counters(self):
+        known = {"SITE-A"}
+        assert matcher_key(RM3Matcher(known, threshold=0.0)) != matcher_key(
+            RM3Matcher(known, threshold=0.9))
+        assert matcher_key(RM2Matcher(known)) != matcher_key(RM2Matcher(set()))
+        assert matcher_key(RM2Matcher(known)) == matcher_key(RM2Matcher(set(known)))
+        counted = SubsetMatcher(known)
+        counted.fallbacks = 5
+        assert matcher_key(counted) == matcher_key(SubsetMatcher(known))
+
+    def test_matcher_key_without_readable_parameters(self):
+        class Renamed(RM2Matcher):
+            def __init__(self, sites):
+                super().__init__(sites)
+
+        assert matcher_key(Renamed({"SITE-A"})) != matcher_key(Renamed({"SITE-B"}))
+        assert matcher_key(Renamed({"SITE-A"})) == matcher_key(Renamed({"SITE-A"}))
+
+    @staticmethod
+    def _assert_fresh_reports(source, plan, method, matchers):
+        """Back-to-back analyses with same-named matchers on one pool
+        must each see their own matcher's report."""
+        specs = [AnalysisSpec(name="headline", method=method)]
+        serial = [run_analyses(source, plan, specs, matchers=[m]) for m in matchers]
+        assert serial[0]["headline"] != serial[1]["headline"]
+        with ParallelExecutor(workers=1) as ex:
+            parallel = [
+                run_analyses(source, plan, specs, matchers=[m], executor=ex)
+                for m in matchers
+            ]
+            assert ex.pool_inits == 1
+        assert parallel == serial
+
+    def test_rm3_thresholds(self, small_study):
+        known = small_study.harness.known_site_names()
+        self._assert_fresh_reports(
+            small_study.source,
+            WindowPlan(*small_study.harness.window),
+            "rm3",
+            [RM3Matcher(known, threshold=0.0), RM3Matcher(known, threshold=0.9)],
+        )
+
+    def test_rm2_known_sites(self):
+        # Transfers labelled with a site outside the known set: RM2
+        # tolerates the label only when it knows the valid sites.
+        job, files, transfers = matching_triple()
+        source = OpenSearchLike()
+        source.jobs.ingest([job])
+        source.files.ingest(files)
+        source.transfers.ingest([
+            make_transfer(row_id=t.row_id, lfn=t.lfn, size=t.file_size,
+                          src="SITE-Z", dst="SITE-Z", start=t.starttime, end=t.endtime)
+            for t in transfers
+        ])
+        source.store.freeze()
+        self._assert_fresh_reports(
+            source,
+            WindowPlan(0.0, 10_000.0),
+            "rm2",
+            [RM2Matcher(set()), RM2Matcher({"SITE-A"})],
+        )
 
 
 class TestArtifactCacheThreadSafety:

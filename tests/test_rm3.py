@@ -359,7 +359,7 @@ class TestStreamingParity:
             events[i : i + batch_events] for i in range(0, len(events), batch_events)
         )
 
-        batch = SerialExecutor(engine="columnar").execute(
+        batch = SerialExecutor().execute(
             _ingest(jobs, files, transfers),
             [WindowPlan(T0, T1)],
             matchers=[RM3Matcher(KNOWN, threshold=threshold), RM2Matcher(KNOWN)],

@@ -103,7 +103,7 @@ class TestScaleScenario:
         row = run_rung(CONFIG)
         for key in ("n_jobs", "n_user_jobs", "n_files", "n_transfers",
                     "n_transfers_with_taskid", "shard_seconds", "shards",
-                    "workers", "engine", "seed_mode", "generate_seconds",
+                    "workers", "seed_mode", "generate_seconds",
                     "match_seconds", "analyze_seconds", "match_jobs_per_sec",
                     "match_transfers_per_sec", "matched_jobs",
                     "expected_matches", "rss_mb", "peak_rss_mb", "headline"):

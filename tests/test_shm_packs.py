@@ -19,13 +19,21 @@ from repro.columnar import shm
 from repro.exec.executor import (
     ParallelExecutor,
     SerialExecutor,
+    default_matchers,
     source_token,
 )
 from repro.exec.plan import WindowPlan
 from repro.metastore.opensearch import OpenSearchLike
 from repro.metastore.packsource import PackSource
 
-from tests.helpers import make_file, make_job, make_transfer, matching_triple
+from tests.helpers import (
+    make_file,
+    make_job,
+    make_transfer,
+    matching_triple,
+    row_artifacts,
+    row_report,
+)
 
 KNOWN_SITES = {"SITE-A", "SITE-B"}
 
@@ -144,20 +152,20 @@ class TestArchiveRegistry:
 class TestExecutorSeeding:
     def test_shm_path_matches_serial_bit_for_bit(self):
         src = _source()
-        serial = SerialExecutor(engine="columnar").execute(
-            src, [PLAN], known_sites=KNOWN_SITES
-        )[0]
-        with ParallelExecutor(workers=2, engine="columnar") as ex:
+        serial = SerialExecutor().execute(src, [PLAN], known_sites=KNOWN_SITES)[0]
+        with ParallelExecutor(workers=2) as ex:
             parallel = ex.execute(src, [PLAN], known_sites=KNOWN_SITES)[0]
             assert ex.seed_mode == "shm"
             assert len(shm.active_archives()) == 1
+        oracle = row_report(row_artifacts(src, PLAN), default_matchers(KNOWN_SITES))
         for m in serial.methods:
             assert parallel[m].matched_pairs() == serial[m].matched_pairs()
+            assert parallel[m].matched_pairs() == oracle[m].matched_pairs()
         assert parallel == serial
 
     def test_close_releases_the_archive(self):
         src = _source()
-        ex = ParallelExecutor(workers=2, engine="columnar")
+        ex = ParallelExecutor(workers=2)
         ex.execute(src, [PLAN], known_sites=KNOWN_SITES)
         (archive,) = shm.active_archives().values()
         ex.close()
@@ -166,7 +174,7 @@ class TestExecutorSeeding:
 
     def test_generation_bump_rotates_pool_and_archive(self):
         src = _source()
-        with ParallelExecutor(workers=2, engine="columnar") as ex:
+        with ParallelExecutor(workers=2) as ex:
             ex.execute(src, [PLAN], known_sites=KNOWN_SITES)
             (old,) = shm.active_archives().values()
             assert ex.pool_inits == 1
@@ -182,7 +190,7 @@ class TestExecutorSeeding:
 
     def test_pool_reuse_exports_once(self):
         src = _source()
-        with ParallelExecutor(workers=2, engine="columnar") as ex:
+        with ParallelExecutor(workers=2) as ex:
             ex.execute(src, [PLAN], known_sites=KNOWN_SITES)
             ex.execute(src, [PLAN], known_sites=KNOWN_SITES)
             assert ex.pool_inits == 1
@@ -190,22 +198,13 @@ class TestExecutorSeeding:
 
     def test_pickle_fallback_is_identical(self):
         src = _source()
-        with ParallelExecutor(workers=2, engine="columnar",
-                              shared_memory=False) as ex:
+        with ParallelExecutor(workers=2, shared_memory=False) as ex:
             report = ex.execute(src, [PLAN], known_sites=KNOWN_SITES)[0]
             assert ex.seed_mode == "pickle"
             assert not shm.active_archives()
-        serial = SerialExecutor(engine="columnar").execute(
-            src, [PLAN], known_sites=KNOWN_SITES
-        )[0]
+        serial = SerialExecutor().execute(src, [PLAN], known_sites=KNOWN_SITES)[0]
         assert report == serial
 
-    def test_row_engine_defaults_to_pickle(self):
-        src = _source()
-        with ParallelExecutor(workers=2, engine="row") as ex:
-            ex.execute(src, [PLAN], known_sites=KNOWN_SITES)
-            assert ex.seed_mode == "pickle"
-            assert not shm.active_archives()
 
 
 # -- source identity --------------------------------------------------------------
@@ -238,8 +237,8 @@ class TestSourceToken:
 
     def test_pool_key_uses_token_not_raw_id(self):
         src = _source()
-        ex = ParallelExecutor(workers=2, engine="columnar")
-        key = ex._source_key(src, "columnar")
+        ex = ParallelExecutor(workers=2)
+        key = ex._source_key(src)
         assert key[1] == source_token(src)
         assert key[1][0] == "tok"
         assert id(src) not in key
@@ -255,7 +254,7 @@ class TestConcurrentLifecycle:
         from concurrent.futures import ThreadPoolExecutor
 
         src = _source()
-        ex = ParallelExecutor(workers=2, engine="columnar")
+        ex = ParallelExecutor(workers=2)
         ex.execute(src, [PLAN], known_sites=KNOWN_SITES)
         with ThreadPoolExecutor(4) as pool:
             for f in [pool.submit(ex.close) for _ in range(8)]:
@@ -275,7 +274,7 @@ class TestConcurrentLifecycle:
             barrier.wait()
             return ex.execute(src, [PLAN], known_sites=KNOWN_SITES)[0]
 
-        with ParallelExecutor(workers=2, engine="columnar") as ex:
+        with ParallelExecutor(workers=2) as ex:
             with ThreadPoolExecutor(4) as pool:
                 reports = [f.result() for f in
                            [pool.submit(run, i) for i in range(4)]]
@@ -289,7 +288,7 @@ class TestConcurrentLifecycle:
         from concurrent.futures import ThreadPoolExecutor
 
         src = _source()
-        with ParallelExecutor(workers=2, engine="columnar") as ex:
+        with ParallelExecutor(workers=2) as ex:
             ex.execute(src, [PLAN], known_sites=KNOWN_SITES)
             (old,) = shm.active_archives().values()
             src.ingest_batch(jobs=[make_job(pandaid=88, jeditaskid=301,

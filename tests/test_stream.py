@@ -18,9 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.analysis.queuing import timings_for_result
 from repro.core.analysis.summary import headline_stats
-from repro.core.analysis.thresholds import threshold_sweep
+from repro.core.analysis.thresholds import threshold_sweep, threshold_sweep_result
 from repro.core.matching.base import BaseMatcher
 from repro.core.matching.pipeline import MatchingPipeline
 from repro.exec import ArtifactCache, WindowPlan
@@ -39,7 +38,7 @@ from repro.stream import (
 )
 from repro.workload.generator import WorkloadConfig
 
-from tests.helpers import make_file, make_job, make_transfer
+from tests.helpers import make_file, make_job, make_transfer, row_headline, row_timings
 
 # -- shared material --------------------------------------------------------------
 #
@@ -543,13 +542,13 @@ class TestFolds:
         )
 
     def test_summary_fold_matches_batch_headline(self, streamed, live_batch):
-        assert streamed.headline() == headline_stats(live_batch, "exact", frame="row")
+        assert streamed.headline() == row_headline(live_batch, "exact")
+        assert streamed.headline() == headline_stats(live_batch, "exact")
 
     def test_threshold_fold_matches_batch_sweep(self, streamed, live_batch):
-        expected = threshold_sweep(
-            timings_for_result(live_batch["exact"], frame="row")
-        )
+        expected = threshold_sweep(row_timings(live_batch["exact"]))
         assert streamed.folds["thresholds"].snapshot() == expected
+        assert threshold_sweep_result(live_batch["exact"]) == expected
 
     def test_queuing_fold_matches_batch_tallies(self, streamed, live_batch):
         fold = streamed.folds["queuing"]
